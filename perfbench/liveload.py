@@ -16,8 +16,9 @@ round's delay is protocol timing plus the loop's CPU cost.
 
 The CPU throughput is not host-normalised: probes run in write-free windows
 of the loop did not track the loop's speed (socket system time is part of
-its CPU cost) and made the throughput spread between runs larger, not
-smaller.
+its CPU cost), and neither did probes taken right before and after the
+session; both made the throughput spread between runs larger, not smaller
+(0.27 against 0.09 raw over ten seeds with the outer probes).
 
 A write blocked by a resolution round is retried every ``retry_after``
 seconds until it applies; each write is timed from its *due* time, so a
@@ -229,6 +230,7 @@ class LiveSession:
         self.marks[name] = {
             "cpu": time.process_time(), "wall": time.perf_counter(),
             "applied": self.applied,
+            "retries": self.retries,
             "sent": sum(sum(s.sent.values()) for s in stats),
             "bytes": sum(sum(s.bytes_sent.values()) for s in stats),
             "dropped": sum(sum(s.dropped.values()) for s in stats),
@@ -344,7 +346,7 @@ class LiveSession:
             "propagation_ms_p99": quantile(prop, 99),
             "propagation_samples": len(prop),
             "gen_late_ms_p99": quantile(late, 99),
-            "blocked_retries": self.retries,
+            "blocked_retries": b["retries"] - a["retries"],
             "digest_hits": b["digest_hits"] - a["digest_hits"],
             "digest_misses": b["digest_misses"] - a["digest_misses"],
             "dropped": b["dropped"] - a["dropped"],
@@ -431,6 +433,8 @@ def run(w: LiveWorkload, seed: int, seconds: float, trace: bool,
         "live.propagation_ms_p50": summary["propagation_ms_p50"],
         "live.propagation_ms_p99": summary["propagation_ms_p99"],
         "live.gen_late_ms_p99": summary["gen_late_ms_p99"],
+        "perfbench.clients.retries_per_write":
+            bench.per_op(summary["blocked_retries"], ops),
     })
     bench.trace_overhead(metrics, untraced, summary)
     report["summary"] = summary

@@ -158,6 +158,10 @@ def sim_layers(run, rec, before: Dict[str, object]) -> Dict[str, float]:
             d.traffic.entries_folded - before["folded"],
         "store.peak_retained_entries": d.traffic.peak_retained_entries,
         "scenarios.fault_actions": run.fault_actions() - before["faults"],
+        "perfbench.clients.retries_per_write":
+            per_op(d.traffic.write_retries - before["retries"], writes),
+        "perfbench.clients.failovers":
+            d.traffic.failovers - before["failovers"],
     })
     for reason in ("loss", "src-down", "dst-down", "departed"):
         metrics[f"sim.network.dropped.{reason}"] = (
@@ -174,7 +178,9 @@ def sim_snapshot(run) -> Dict[str, object]:
             "delivered": sum(stats.delivered.values()),
             "drops": dict(stats.drop_reasons),
             "folded": d.traffic.entries_folded,
-            "faults": run.fault_actions()}
+            "faults": run.fault_actions(),
+            "retries": d.traffic.write_retries,
+            "failovers": d.traffic.failovers}
 
 
 def run_sim(w, seed: int, seconds: float, trace: bool, report: dict):
@@ -187,6 +193,7 @@ def run_sim(w, seed: int, seconds: float, trace: bool, report: dict):
         run.measure(seconds)
         summary = simload.summarize(run)
         problems = simload.check(run)
+        summary["failed"] += run.deployment.traffic.writes_pending
         report["summary"] = summary
         metrics = {
             "ops_per_s": summary["ops_per_s"],
@@ -218,6 +225,7 @@ def run_sim(w, seed: int, seconds: float, trace: bool, report: dict):
         summary = simload.summarize(run)
         metrics = sim_layers(run, rec, before)
         problems += simload.check(run)
+        summary["failed"] += run.deployment.traffic.writes_pending
     finally:
         rec.restore()
     trace_overhead(metrics, untraced, summary)

@@ -32,6 +32,7 @@ from repro.workloads import (
     ZipfPopularity,
 )
 
+from perfbench.clients import RetryingDriver
 from perfbench.host import PROBE_REF_S, HostProbe
 from perfbench.workloads import SimWorkload
 
@@ -52,6 +53,7 @@ def build(w: SimWorkload, seed: int) -> IdeaDeployment:
     config = IdeaConfig(mode=AdaptationMode.HINT_BASED,
                         hint_level=w.hint_level,
                         background_period=w.background_period,
+                        member_block_timeout=w.member_block_timeout,
                         outcome_history=256)
     overlay = OverlayConfig(temperature=TemperatureConfig(
         half_life=600.0, hot_threshold=0.5, max_top_size=w.nodes,
@@ -66,34 +68,44 @@ def build(w: SimWorkload, seed: int) -> IdeaDeployment:
     population = ClientPopulation(
         name="clients", num_clients=w.clients, popularity=popularity,
         mix=OpMix(w.read_fraction), schedule=ConstantRate(w.rate_per_client))
-    builder.add_traffic([population], truncate_every=w.truncate_every,
-                        truncate_window=w.truncate_window,
-                        truncate_keep_content=False)
-    return builder.start_overlay_services().build()
+    d = builder.start_overlay_services().build()
+    d.traffic = RetryingDriver(d, [population], seed=seed,
+                               truncate_every=w.truncate_every,
+                               truncate_window=w.truncate_window,
+                               truncate_keep_content=False).start()
+    return d
 
 
 def fault_plan(w: SimWorkload, node_ids, seed: int) -> Optional[FaultPlan]:
-    """Seeded churn: a crash every ``1 / churn_rate`` seconds, each victim
-    drawn from the live nodes and back ``churn_downtime`` seconds later.
+    """Seeded churn: a crash every ``1 / churn_rate`` seconds, back
+    ``churn_downtime`` seconds later.  Victims take turns in a seeded order
+    of the nodes, skipping any still down.
 
-    Crash times are periodic rather than Poisson so that every seed puts the
-    same fault load on the run and only the victims differ: with Poisson
-    gaps the number of nodes down, and with it the cost per op, varies
-    more between seeds than a run can average out.
+    Crash times are periodic rather than Poisson, and victims rotate rather
+    than being drawn afresh, so that every seed puts the same fault load on
+    the run and on each node: with Poisson gaps or independent draws the
+    number of nodes down, and which of them carry the clients, varies more
+    between seeds than a run can average out.
     """
     if w.churn_rate <= 0:
         return None
-    rng = random.Random(seed)
+    order = list(node_ids)
+    random.Random(seed).shuffle(order)
     plan = FaultPlan()
     down_until: Dict[str, float] = {}
+    turn = 0
     t = 1.0
     while t < CHURN_HORIZON:
-        alive = [n for n in node_ids if down_until.get(n, 0.0) <= t]
-        if len(alive) > w.churn_spare:
-            victim = alive[rng.randrange(len(alive))]
-            plan.crash(victim, t)
-            plan.recover(victim, t + w.churn_downtime)
-            down_until[victim] = t + w.churn_downtime
+        alive = sum(1 for n in node_ids if down_until.get(n, 0.0) <= t)
+        if alive > w.churn_spare:
+            for _ in range(len(order)):
+                victim = order[turn % len(order)]
+                turn += 1
+                if down_until.get(victim, 0.0) <= t:
+                    plan.crash(victim, t)
+                    plan.recover(victim, t + w.churn_downtime)
+                    down_until[victim] = t + w.churn_downtime
+                    break
         t += 1.0 / w.churn_rate
     return plan
 
@@ -117,7 +129,7 @@ class Counters:
         stats = d.network.stats
         return cls(ops=drv.ops_issued, reads=drv.reads_issued,
                    writes=drv.writes_issued,
-                   failed=drv.writes_blocked + drv.skipped_down,
+                   failed=drv.skipped_down,
                    sent=sum(stats.sent.values()),
                    bytes=sum(stats.bytes_sent.values()),
                    events=d.sim.events_processed,
@@ -201,10 +213,10 @@ class SimRun:
         d.run(until=d.sim.now + self.w.churn_downtime + 4.0)
         # rounds caught by a crash finish by their collect or block timeouts
         deadline = d.sim.now + QUIESCE_LIMIT
-        while d.sim.now < deadline and any(
+        while d.sim.now < deadline and (d.traffic.writes_pending or any(
                 mw.resolution.resolving or mw.replica.write_blocked
                 for managed in d.objects.values()
-                for mw in managed.middlewares.values()):
+                for mw in managed.middlewares.values())):
             d.run(until=d.sim.now + 1.0)
 
 
@@ -266,6 +278,14 @@ def in_flight(d: IdeaDeployment) -> int:
     return count
 
 
+def check_writes_applied(d: IdeaDeployment) -> List[str]:
+    """Every write a resolution round blocked was applied on a retry."""
+    pending = d.traffic.writes_pending
+    if pending:
+        return [f"{pending} blocked writes never applied"]
+    return []
+
+
 def check_drop_ledger(d: IdeaDeployment) -> List[str]:
     stats = d.network.stats
     sent = sum(stats.sent.values())
@@ -322,7 +342,8 @@ def check(run: SimRun) -> List[str]:
     d = run.deployment
     problems = check_levels(d) + check_drop_ledger(d)
     run.quiesce()
-    problems += check_no_write_lost(d) + check_drop_ledger(d)
+    problems += check_writes_applied(d) + check_no_write_lost(d)
+    problems += check_drop_ledger(d)
     problems += check_convergence(run)
     problems += check_levels(d) + check_drop_ledger(d)
     return problems
@@ -344,7 +365,9 @@ def start(w: SimWorkload, seed: int) -> tuple:
 
 
 def summarize(run: SimRun) -> Dict[str, object]:
-    """End-to-end figures of the timed phase."""
+    """End-to-end figures of the timed phase.  ``failed`` counts ops issued
+    with every node down; a blocked write still pending after the checks
+    fails too (the caller adds those)."""
     a, b = run.start, run.end
     ops = b.ops - a.ops
     delays = sorted(resolution_delays(run))
@@ -354,6 +377,8 @@ def summarize(run: SimRun) -> Dict[str, object]:
         "ops": ops,
         "failed": b.failed - a.failed,
         "writes_blocked": drv.writes_blocked,
+        "write_retries": drv.write_retries,
+        "client_failovers": drv.failovers,
         "ops_at_down_nodes": drv.skipped_down,
         "ops_per_s": ops_per_s(run),
         "ops_per_s_raw": ops_per_s(run, normalised=False),

@@ -6,6 +6,15 @@ in simulated time (independent clients on a fixed-rate Poisson schedule);
 the live workload is open-loop in wall-clock time.  The seed given on the
 command line generates every input: client schedules (through the
 deployment's seeded random streams), fault plans and live write schedules.
+No op fails: clients retry a write blocked by a resolution round until it
+applies, and sim clients of a crashed node fail over to a live one
+(:mod:`perfbench.clients`).
+
+churn-resolve is lighter than the other sim workloads (10 ops/s per
+client) and a member gives up on a silent initiator after 12 s rather than
+the default 30 s: with 20 ops/s per client and 30 s blocks, writes queued
+behind a stalled round and the log state they left behind moved the cost
+per op, the peak RSS and the message counts by a tenth from seed to seed.
 """
 
 from __future__ import annotations
@@ -30,6 +39,9 @@ class SimWorkload:
     truncate_every: float
     truncate_window: float
     loss_probability: float = 0.0
+    #: seconds a member stays write-blocked with no install from the round's
+    #: initiator (the program's default)
+    member_block_timeout: float = 30.0
     #: crash rate (crashes per simulated second) of a seeded churn plan;
     #: 0 = no faults
     churn_rate: float = 0.0
@@ -92,10 +104,11 @@ WORKLOADS: Dict[str, object] = {w.name: w for w in (
         step=5.0, probes_per_step=5),
     SimWorkload(
         name="churn-resolve",
-        nodes=16, objects=4, clients=64, rate_per_client=20.0,
+        nodes=16, objects=4, clients=64, rate_per_client=10.0,
         read_fraction=0.7, zipf_skew=0.9, hint_level=0.8,
         background_period=2.0, truncate_every=2.0, truncate_window=5.0,
-        loss_probability=0.005, churn_rate=0.5),
+        loss_probability=0.005, member_block_timeout=12.0,
+        churn_rate=0.5, warmup=24.0, step=8.0, probes_per_step=4),
     LiveWorkload(
         name="live-loopback",
         nodes=4, objects=2, write_rate=400.0, period=0.5,
