@@ -51,6 +51,10 @@ class OnDemandController:
         self._pending_demand = False
 
     # ------------------------------------------------------------ decisions
+    def may_resolve(self) -> bool:
+        """Whether any level could make :meth:`should_resolve` true now."""
+        return self._pending_demand or self.learned_threshold > 0
+
     def should_resolve(self, level: float) -> bool:
         """Resolve when the user demanded it or the learned floor is violated."""
         if self._pending_demand:
@@ -101,6 +105,10 @@ class HintBasedController:
             raise ValueError("hint level must be in [0, 1]")
         self.hint_history: List[Tuple[float, float]] = [(0.0, self.hint_level)]
         self.complaints: List[ComplaintRecord] = []
+
+    def may_resolve(self) -> bool:
+        """Whether any level could make :meth:`should_resolve` true now."""
+        return self.hint_level > 0
 
     def should_resolve(self, level: float) -> bool:
         """Trigger active resolution when the level drops below the hint."""
@@ -211,6 +219,10 @@ class AutomaticController:
         return self.period
 
     # ---------------------------------------------------------------- utils
+    def may_resolve(self) -> bool:
+        """Never: no level makes :meth:`should_resolve` true."""
+        return False
+
     def should_resolve(self, level: float) -> bool:
         """Automatic mode never reacts to individual levels; timing decides."""
         return False

@@ -467,20 +467,42 @@ class DetectionService:
         full rebuild.  A source that shrank (a rollback discarded updates)
         invalidates the envelope; the next evaluation rebuilds it from every
         cached digest.
+
+        Only changed writers are folded.  Consecutive digests from one
+        source share the interned ``(writer, WriterSummary)`` pair of every
+        writer that did not change (see ``DigestCache``), and such a pair
+        cannot raise a maximum.  Identity is only a shortcut: any pair that
+        is not the same object is value-checked, so digests without shared
+        pairs (decoded off the wire) fold just as correctly.
         """
         if not self._ref_valid:
             return
+        grown: Sequence[Tuple[str, WriterSummary]] = new.writers
         if old is not None:
-            new_map = dict(new.writers)
-            for writer, summary in old.writers:
-                replacement = new_map.get(writer)
-                if replacement is None or replacement.count < summary.count:
-                    self._ref_valid = False
-                    return
+            old_writers = old.writers
+            if len(grown) == len(old_writers):
+                # Writers are sorted, so equal lengths pair up position by
+                # position unless the writer sets differ (a mismatch below).
+                changed_pairs = []
+                for pair, prev in zip(grown, old_writers):
+                    if pair is prev:
+                        continue
+                    if pair[0] != prev[0] or pair[1].count < prev[1].count:
+                        self._ref_valid = False
+                        return
+                    changed_pairs.append(pair)
+                grown = changed_pairs
+            else:
+                new_map = dict(grown)
+                for writer, summary in old_writers:
+                    replacement = new_map.get(writer)
+                    if replacement is None or replacement.count < summary.count:
+                        self._ref_valid = False
+                        return
         best = self._ref_best
         counts_map = self._ref_counts_map
         changed = False
-        for writer, summary in new.writers:
+        for writer, summary in grown:
             current = best.get(writer)
             if current is None or summary.count > current.count:
                 if current is not None:

@@ -194,9 +194,18 @@ class IdeaMiddleware:
                           acceptable=acceptable, evaluated_at=now)
 
     def _on_remote_digest(self, digest: VersionDigest) -> None:
-        """A top-layer peer announced a write: re-evaluate and maybe resolve."""
+        """A top-layer peer announced a write: re-evaluate and maybe resolve.
+
+        Detection has already ingested the digest.  The level is evaluated
+        only when the controller could act on it or a probe listens; reads,
+        writes, ``complain`` and queries evaluate on demand, so every level
+        anyone observes is unchanged.
+        """
+        probed = self.bus.wants(DetectionEvaluated)
+        if not probed and not self.controller.may_resolve():
+            return
         level = self.detection.current_level()
-        if self.bus.wants(DetectionEvaluated):
+        if probed:
             # Remote evaluations are materialised as bus events only when an
             # instrumentation probe subscribed (e.g. the churn experiment's
             # detection-latency metric); publishing is synchronous and
@@ -251,16 +260,10 @@ class IdeaMiddleware:
         return True
 
     def _dispatch_resolved(self, result: ResolutionResult) -> None:
-        """A round this node initiated completed: publish and run the hook."""
+        """A round this node initiated completed: publish it on the bus."""
         self.bus.publish(ResolutionCompleted(
             object_id=self.object_id, initiator=result.initiator,
             kind=result.kind, result=result, time=result.finished_at))
-        self._on_resolved(result)
-
-    def _on_resolved(self, result: ResolutionResult) -> None:
-        # Resolution completed: our replica is consistent as of now; peer
-        # digest caches refresh lazily as peers keep announcing writes.
-        pass
 
     # ------------------------------------------------------------- user API
     def demand_active_resolution(self) -> bool:

@@ -114,7 +114,9 @@ class LiveTransport:
         self._known: Set[str] = set(self.addresses)
         self._peers: Dict[str, _PeerLink] = {}
         self._servers: List[asyncio.AbstractServer] = []
-        self._reader_tasks: Set["asyncio.Task[None]"] = set()
+        #: inbound reader task -> its connection's writer; stop() closes the
+        #: writer so the reader sees EOF and returns on its own
+        self._readers: Dict["asyncio.Task[None]", asyncio.StreamWriter] = {}
         self._next_msg_id = 0
         self._closing = False
         self.delivery_hooks: List[Any] = []
@@ -233,13 +235,17 @@ class LiveTransport:
                 with contextlib.suppress(asyncio.CancelledError):
                     await link.task
         self._peers.clear()
-        for task in list(self._reader_tasks):
-            task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await task
-        self._reader_tasks.clear()
+        # Readers are ended by closing their streams, never by cancellation:
+        # asyncio's connection callback reads a cancelled reader task's
+        # exception and reports a spurious "Exception in callback".
         for server in self._servers:
-            server.close()
+            server.close()          # accept no new connections
+        for stream_writer in self._readers.values():
+            stream_writer.close()   # the reader sees EOF and returns
+        if self._readers:
+            await asyncio.wait(list(self._readers), timeout=2.0)
+        self._readers.clear()
+        for server in self._servers:
             await server.wait_closed()
         self._servers.clear()
         if self.kind == "uds":
@@ -496,8 +502,8 @@ class LiveTransport:
                                 stream_writer: asyncio.StreamWriter) -> None:
         task = asyncio.current_task()
         if task is not None:
-            self._reader_tasks.add(task)
-            task.add_done_callback(self._reader_tasks.discard)
+            self._readers[task] = stream_writer
+            task.add_done_callback(self._forget_reader)
         try:
             while True:
                 try:
@@ -532,6 +538,9 @@ class LiveTransport:
             stream_writer.close()
             with contextlib.suppress(ConnectionError, OSError):
                 await stream_writer.wait_closed()
+
+    def _forget_reader(self, task: "asyncio.Task[None]") -> None:
+        self._readers.pop(task, None)
 
     # ------------------------------------------------------------- accounting
     def messages_sent(self, protocol_prefix: str = "") -> int:

@@ -25,13 +25,16 @@ class TestOnDemandController:
     def test_no_resolution_without_demand_or_threshold(self):
         controller = OnDemandController(config(hint_level=0.0))
         assert not controller.should_resolve(0.5)
+        assert not controller.may_resolve()
 
     def test_explicit_demand_triggers_once(self):
         controller = OnDemandController(config(hint_level=0.0))
         controller.demand_resolution()
+        assert controller.may_resolve()
         assert controller.should_resolve(1.0)
         assert controller.consume_demand()
         assert not controller.consume_demand()
+        assert not controller.may_resolve()
 
     def test_complaint_learns_new_threshold(self):
         controller = OnDemandController(config(hint_level=0.0, hint_delta=0.05))
@@ -39,6 +42,8 @@ class TestOnDemandController:
         assert record.new_threshold == pytest.approx(0.85)
         assert controller.should_resolve(0.84)
         assert not controller.should_resolve(0.86) or controller.consume_demand()
+        controller.consume_demand()
+        assert controller.may_resolve()  # the learned threshold stays
 
     def test_complaint_never_lowers_threshold(self):
         controller = OnDemandController(config(hint_level=0.9))
@@ -67,6 +72,9 @@ class TestHintBasedController:
     def test_zero_hint_disables(self):
         controller = HintBasedController(config(hint_level=0.0))
         assert not controller.should_resolve(0.01)
+        assert not controller.may_resolve()
+        controller.set_hint(1.0, 0.5)
+        assert controller.may_resolve()
 
     def test_set_hint_at_runtime(self):
         controller = HintBasedController(config(hint_level=0.95))
@@ -101,6 +109,7 @@ class TestAutomaticController:
     def test_never_resolves_on_level(self):
         controller = AutomaticController(config(background_period=20.0))
         assert not controller.should_resolve(0.0)
+        assert not controller.may_resolve()
 
     def test_optimal_period_follows_formula_4(self):
         controller = AutomaticController(config(background_period=20.0,

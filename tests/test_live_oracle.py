@@ -7,13 +7,15 @@ never timings (DESIGN.md §13 lists the legitimate divergences).
 
 from __future__ import annotations
 
+import asyncio
 import json
 
 import pytest
 
 from repro.live.deployment import LiveDeployment
-from repro.live.scenario import (ScenarioSpec, default_scenario, oracle_diff,
-                                 run_live_scenario_inprocess,
+from repro.live.scenario import (ScenarioSpec, build_live_stack,
+                                 default_scenario, make_addresses,
+                                 oracle_diff, run_live_scenario_inprocess,
                                  run_sim_scenario)
 
 #: a compressed schedule keeps the wall-clock cost of each live run ~2.6 s
@@ -68,6 +70,42 @@ class TestLiveMatchesOracle:
         # Teardown was clean: every node exited by itself.
         assert all(proc.returncode == 0
                    for proc in deployment._procs.values())
+
+
+class TestCleanTeardown:
+    def test_clean_run_reports_no_loop_exceptions(self, tmp_path):
+        """Nodes stop one at a time, as separate processes do, so each
+        stopping transport still has inbound readers whose peers are up.
+        Those readers end without cancellation: asyncio must never report
+        an "Exception in callback" during teardown."""
+        spec = default_scenario(4, 2, seed=7, time_scale=SCALE)
+        addresses = make_addresses(spec.nodes, "uds", str(tmp_path))
+        reported = []
+
+        async def _run():
+            loop = asyncio.get_running_loop()
+            loop.set_exception_handler(
+                lambda _loop, context: reported.append(context))
+            stacks = [build_live_stack(spec, node_id, addresses, kind="uds",
+                                       loop=loop)
+                      for node_id in spec.nodes]
+            for stack in stacks:
+                await stack.node.transport.start()
+            for stack in stacks:
+                stack.node.clock.rebase()
+                stack.schedule()
+            await asyncio.sleep(spec.duration)
+            outcomes = []
+            for stack in stacks:
+                stack.shutdown()
+                outcomes.append(stack.outcome())
+                await stack.node.transport.stop()
+            return outcomes
+
+        outcomes = asyncio.run(_run())
+        assert all(sum(o["writes_applied"].values()) == 3 * len(spec.objects)
+                   for o in outcomes)
+        assert reported == []
 
 
 class TestOracleDiff:

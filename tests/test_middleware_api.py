@@ -9,6 +9,8 @@ from repro.core.api import IdeaAPI
 from repro.core.config import AdaptationMode, IdeaConfig, MetricWeights, ResolutionStrategy
 from repro.core.deployment import IdeaDeployment
 from repro.core.policies import PriorityBasedPolicy, UserIdBasedPolicy
+from repro.runtime.events import DetectionEvaluated
+from repro.worlds.compile import world_fingerprint
 
 
 def deployment_with(mode=AdaptationMode.HINT_BASED, hint=0.9, **kwargs):
@@ -139,6 +141,104 @@ class TestMiddlewareAdaptation:
         first_count = mw.resolutions_triggered
         assert not mw.trigger_active_resolution(auto=True)
         assert mw.resolutions_triggered == first_count
+
+
+def count_evaluations(mw):
+    """Record the level of every ``current_level`` call on one middleware's
+    detection service."""
+    calls = []
+    evaluate = mw.detection.current_level
+
+    def counted():
+        calls.append(evaluate())
+        return calls[-1]
+
+    mw.detection.current_level = counted
+    return calls
+
+
+def write_from(deployment, node, delta=5.0, settle=3.0):
+    deployment.middleware("obj", node).write(f"from {node}",
+                                             metadata_delta=delta)
+    deployment.run(until=deployment.sim.now + settle)
+
+
+class TestLazyRemoteEvaluation:
+    """A remote digest is evaluated only when the controller may act on the
+    level or a probe listens; nothing anyone observes changes."""
+
+    @staticmethod
+    def _hint_zero_run(probed):
+        deployment = IdeaDeployment(num_nodes=8, seed=21)
+        config = IdeaConfig(mode=AdaptationMode.HINT_BASED, hint_level=0.0,
+                            background_period=7.0)
+        for object_id in ("a", "b"):
+            deployment.register_object(object_id, config)
+        seen = []
+        if probed:
+            deployment.bus.subscribe(DetectionEvaluated, seen.append)
+        for i in range(60):
+            object_id = "ab"[i % 2]
+            node = f"n0{(i * 3) % 8}"
+            deployment.sim.call_at(
+                0.5 + 0.4 * i,
+                lambda o=object_id, n=node, d=float(i % 5):
+                    deployment.middleware(o, n).write(None, metadata_delta=d))
+        deployment.run(until=40.0)
+        levels = {(o, n): repr(mw.current_level())
+                  for o, managed in deployment.objects.items()
+                  for n, mw in managed.middlewares.items()}
+        return world_fingerprint(deployment), levels, len(seen)
+
+    def test_probe_forced_eager_path_changes_nothing(self):
+        plain = self._hint_zero_run(probed=False)
+        eager = self._hint_zero_run(probed=True)
+        assert eager[2] > 60  # remote evaluations were published
+        assert plain[0] == eager[0]
+        assert plain[1] == eager[1]
+
+    def test_hint_zero_skips_remote_evaluation(self):
+        deployment = deployment_with(hint=0.0)
+        calls = count_evaluations(deployment.middleware("obj", "n00"))
+        write_from(deployment, "n00")
+        write_from(deployment, "n01")
+        assert "n01" in deployment.middleware("obj", "n00").detection.peer_digests
+        assert calls == []
+
+    def test_runtime_hint_turns_remote_evaluation_back_on(self):
+        deployment = deployment_with(hint=0.0)
+        mw = deployment.middleware("obj", "n00")
+        write_from(deployment, "n00")
+        write_from(deployment, "n01")
+        assert mw.resolutions_triggered == 0
+        mw.set_hint(0.9)
+        calls = count_evaluations(mw)
+        write_from(deployment, "n01", delta=50.0, settle=0.5)
+        assert calls, "the remote digest was not evaluated"
+        assert calls[0] < 0.9
+        assert mw.resolutions_triggered == 1
+
+    def test_pending_demand_resolves_on_remote_digest(self):
+        deployment = deployment_with(mode=AdaptationMode.ON_DEMAND, hint=0.0)
+        mw = deployment.middleware("obj", "n00")
+        write_from(deployment, "n00")
+        mw.controller.demand_resolution()
+        assert mw.controller.may_resolve()
+        write_from(deployment, "n01", settle=0.5)
+        assert mw.resolutions_triggered == 1
+        assert not mw.controller.may_resolve()  # the demand was consumed
+
+    def test_automatic_mode_never_evaluates_remote_digests(self):
+        deployment = deployment_with(mode=AdaptationMode.AUTOMATIC, hint=0.0,
+                                     background_period=30.0)
+        mw = deployment.middleware("obj", "n00")
+        calls = count_evaluations(mw)
+        write_from(deployment, "n00")
+        write_from(deployment, "n01")
+        write_from(deployment, "n02")
+        assert calls == []
+        assert {"n01", "n02"} <= set(mw.detection.peer_digests)
+        assert mw.current_level() < 1.0  # folded at ingest, read on demand
 
 
 class TestIdeaAPI:

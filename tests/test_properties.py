@@ -5,9 +5,16 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import ConsistencyMetricSpec, MetricWeights
-from repro.core.detection import VersionDigest, build_reference
+from repro.core.detection import (DetectionService, VersionDigest,
+                                  WriterSummary, build_reference)
 from repro.core.quantify import consistency_level
 from repro.overlay.temperature import TemperatureConfig, TemperatureTracker
+from repro.runtime.digest_cache import DigestCache
+from repro.sim.engine import Simulator
+from repro.sim.latency import FixedLatencyModel
+from repro.sim.network import Network
+from repro.sim.node import Node
+from repro.store.replica import Replica
 from repro.store.update_log import UpdateLog
 from repro.versioning.extended_vector import ErrorTriple, ExtendedVersionVector, UpdateRecord
 from repro.versioning.version_vector import Ordering, VersionVector
@@ -173,6 +180,114 @@ class TestDetectionProperties:
         reference = build_reference([digest])
         assert reference.counts == digest.counts()
         assert abs(reference.metadata - digest.metadata) < 1e-9
+
+
+# ------------------------------------------------------ incremental envelope
+ENVELOPE_WRITERS = ("A", "B", "C", "D")
+
+
+def delta_of(writer, seq):
+    # Integer-valued deltas keep every metadata sum exact, so the
+    # incremental envelope and the rebuild must agree to the bit.
+    return float((seq * 7 + ord(writer)) % 5 - 2)
+
+
+def timestamp_of(writer, seq):
+    return seq + ENVELOPE_WRITERS.index(writer) / 10
+
+
+def summary_of(writer, count):
+    """A writer's summary is a pure function of its count (sequencing)."""
+    cum = sum(delta_of(writer, seq) for seq in range(1, count + 1))
+    return WriterSummary(count=count, cumulative_metadata=cum,
+                         last_timestamp=timestamp_of(writer, count))
+
+
+peer_ids = st.sampled_from(["P1", "P2"])
+envelope_writers = st.sampled_from(ENVELOPE_WRITERS)
+#: picks one of the writers a peer already has
+present = st.integers(min_value=0, max_value=len(ENVELOPE_WRITERS) - 1)
+amounts = st.integers(min_value=1, max_value=3)
+#: ``fresh`` announces value-equal copies of every pair (as decoded off the
+#: wire) instead of the interned pairs consecutive digests share
+fresh = st.booleans()
+envelope_actions = st.one_of(
+    # a peer's writer grows (a new writer when it had none)
+    st.tuples(st.just("grow"), peer_ids, envelope_writers, amounts, fresh),
+    # a peer rolls a writer back (dropping it when the count reaches 0)
+    st.tuples(st.just("shrink"), peer_ids, present, amounts, fresh),
+    # a peer loses one writer and gains another: same length, new writer set
+    st.tuples(st.just("swap"), peer_ids, present, envelope_writers, fresh),
+    # a peer re-announces unchanged counts
+    st.tuples(st.just("same"), peer_ids, st.none(), st.none(), fresh),
+    st.tuples(st.just("forget"), peer_ids),
+    st.tuples(st.just("local"), envelope_writers, amounts))
+
+
+class TestEnvelopeFoldProperties:
+    """The incremental reference envelope equals a from-scratch rebuild
+    after every step, whether or not consecutive digests share pairs."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.lists(envelope_actions, min_size=1, max_size=3),
+                    min_size=1, max_size=12))
+    def test_envelope_matches_rebuild(self, steps):
+        sim = Simulator(seed=1)
+        node = Node(sim, Network(sim, FixedLatencyModel(0.01)), "L")
+        replica = Replica("L", "obj")
+        cache = DigestCache()
+        metric, weights = ConsistencyMetricSpec(), MetricWeights()
+        service = DetectionService(
+            node, object_id="obj", metric=metric, weights=weights,
+            top_layer_provider=lambda: [], replica_provider=lambda: replica,
+            digest_cache=cache)
+        interned = {}
+        peer_counts = {}
+        issued = 0.0
+        for step in steps:
+            for action in step:
+                if action[0] == "forget":
+                    service.forget_peer(action[1])
+                elif action[0] == "local":
+                    _, writer, n = action
+                    for _ in range(n):
+                        seq = replica.next_seq(writer)
+                        replica.local_write(writer, timestamp_of(writer, seq),
+                                            metadata_delta=delta_of(writer, seq))
+                else:
+                    kind, peer, writer, arg, copies = action
+                    counts = dict(peer_counts.get(peer, {}))
+                    if kind == "grow":
+                        counts[writer] = counts.get(writer, 0) + arg
+                    elif kind in ("shrink", "swap") and counts:
+                        writer = sorted(counts)[writer % len(counts)]
+                        if kind == "shrink":
+                            counts[writer] -= arg
+                        else:
+                            counts[arg] = counts.pop(writer)
+                    counts = {w: c for w, c in counts.items() if c > 0}
+                    peer_counts[peer] = counts
+                    pairs = []
+                    for writer in sorted(counts):
+                        if copies:
+                            pair = (writer, summary_of(writer, counts[writer]))
+                        else:
+                            key = (writer, counts[writer])
+                            if key not in interned:
+                                interned[key] = (writer, summary_of(*key))
+                            pair = interned[key]
+                        pairs.append(pair)
+                    issued += 1.0
+                    metadata = sum(s.cumulative_metadata for _, s in pairs)
+                    service.ingest_digest(VersionDigest(
+                        object_id="obj", node_id=peer, issued_at=issued,
+                        writers=tuple(pairs), metadata=metadata,
+                        last_consistent_time=0.0))
+            local = cache.local_digest("obj", replica, sim.now)
+            expected = build_reference([local, *service.peer_digests.values()])
+            assert service._reference_for(local) == expected
+            assert service.current_level() == consistency_level(
+                expected.triple_for(local), metric, weights)
 
 
 # ------------------------------------------------------------------- update log
