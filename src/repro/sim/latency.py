@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +42,18 @@ class LatencyModel(abc.ABC):
     @abc.abstractmethod
     def delay(self, src: str, dst: str) -> float:
         """Return a one-way delay sample in seconds for a message src→dst."""
+
+    def delays(self, src: str, dsts: Sequence[str]) -> List[float]:
+        """One delay per destination, in order, for a fan-out from ``src``.
+
+        Contract: the result equals ``[delay(src, d) for d in dsts]`` and
+        leaves every RNG stream in the same state that loop would, so a
+        batched fan-out is draw-for-draw identical to per-destination sends.
+        Models with one jitter stream override this with a single size-n
+        draw (a numpy ``Generator`` yields the same values and final state
+        for one size-n draw as for n scalar draws).
+        """
+        return [self.delay(src, dst) for dst in dsts]
 
     def expected_delay(self, src: str, dst: str) -> float:
         """Expected (mean) one-way delay; defaults to a single sample."""
@@ -68,8 +80,9 @@ class LatencyModel(abc.ABC):
         would receive the same delay (and sampling it consumes no per-pair
         randomness); :meth:`Network.send_many` then collapses the whole
         fan-out into one latency sample and one scheduled event.  Models with
-        per-pair delays return ``None`` and the fan-out falls back to
-        per-destination sends with unchanged RNG stream order.
+        per-pair delays return ``None`` and the fan-out takes one
+        :meth:`delays` call plus one scheduled event per destination, with
+        unchanged RNG stream order.
         """
         return None
 
@@ -154,6 +167,21 @@ class PlanetLabLatencyModel(LatencyModel):
             return max(base, self.floor)
         jitter = float(self._rng.lognormal(self._mu, self.jitter_sigma))
         return max(base * jitter, self.floor)
+
+    def delays(self, src: str, dsts: Sequence[str]) -> List[float]:
+        """One size-n jitter draw for the whole fan-out (see base contract).
+
+        Self-delivery draws nothing and a zero sigma draws nothing, so both
+        keep the per-destination loop.
+        """
+        if self.jitter_sigma == 0 or src in dsts:
+            return super().delays(src, dsts)
+        one_way = self.topology.one_way_delay
+        floor = self.floor
+        jitters = self._rng.lognormal(self._mu, self.jitter_sigma,
+                                      size=len(dsts)).tolist()
+        return [max(one_way(src, dst) * jitter, floor)
+                for dst, jitter in zip(dsts, jitters)]
 
     def expected_delay(self, src: str, dst: str) -> float:
         if src == dst:
@@ -399,6 +427,18 @@ class PerSourceLatencyModel(LatencyModel):
         if jitter < self.min_jitter:
             jitter = self.min_jitter
         return max(base * jitter, self.floor)
+
+    def delays(self, src: str, dsts: Sequence[str]) -> List[float]:
+        """One size-n draw on ``src``'s stream (see the base contract)."""
+        if self.jitter_sigma == 0 or src in dsts:
+            return super().delays(src, dsts)
+        one_way = self.topology.one_way_delay
+        floor = self.floor
+        min_jitter = self.min_jitter
+        jitters = self._source_rng(src).lognormal(
+            self._mu, self.jitter_sigma, size=len(dsts)).tolist()
+        return [max(one_way(src, dst) * max(jitter, min_jitter), floor)
+                for dst, jitter in zip(dsts, jitters)]
 
     def expected_delay(self, src: str, dst: str) -> float:
         # The clamp nudges the true mean slightly above base; base is close

@@ -22,7 +22,8 @@ lambda per send — and the engine recycles those events through its free
 list.  Broadcast-style senders (detection digests, gossip fan-out) should
 use :meth:`send_many`, which shares one payload across the fan-out and, when
 the latency model reports a homogeneous delay for the whole destination set,
-collapses the broadcast into a single latency sample and a single heap push.
+collapses the broadcast into a single latency sample and a single heap push;
+per-pair models get one batched :meth:`LatencyModel.delays` draw instead.
 
 Failure model (crash-stop with recovery): a send whose source or destination
 is a *previously registered* node that has since crashed, or whose endpoints
@@ -225,17 +226,9 @@ class Network:
         stats = self.stats
         stats.sent[protocol] += 1
         stats.bytes_sent[protocol] += size
-
-        if self.loss_probability > 0 and self._loss_rng.random() < self.loss_probability:
-            stats.dropped[protocol] += 1
-            stats.drop_reasons["loss"] += 1
+        if ((self.loss_probability > 0 or self._pair_loss)
+                and self._lost(src, dst, protocol)):
             return None
-        if self._pair_loss:
-            pair_loss = self._pair_loss.get((src, dst))
-            if pair_loss is not None and self._loss_rng.random() < pair_loss:
-                stats.dropped[protocol] += 1
-                stats.drop_reasons["link-loss"] += 1
-                return None
 
         delay = self.latency.delay(src, dst)
         now = self.sim.now
@@ -249,6 +242,25 @@ class Network:
                             priority=Simulator.PRIORITY_NETWORK,
                             label=self._label(protocol, msg_type))
         return message
+
+    def _lost(self, src: str, dst: str, protocol: str) -> bool:
+        """Draw loss for one reachable, already-counted send src→dst.
+
+        The global draw comes first; a per-link draw happens only for a
+        message that survived it.  A lost message is accounted as dropped
+        under ``"loss"`` or ``"link-loss"``.
+        """
+        rng = self._loss_rng
+        if self.loss_probability > 0 and rng.random() < self.loss_probability:
+            reason = "loss"
+        else:
+            pair_loss = self._pair_loss.get((src, dst)) if self._pair_loss else None
+            if pair_loss is None or rng.random() >= pair_loss:
+                return False
+            reason = "link-loss"
+        self.stats.dropped[protocol] += 1
+        self.stats.drop_reasons[reason] += 1
+        return True
 
     def _label(self, protocol: str, msg_type: str) -> str:
         key = (protocol, msg_type)
@@ -266,20 +278,21 @@ class Network:
         payloads as read-only), so a top-layer broadcast allocates one payload
         instead of one per peer.  When the latency model reports a single
         homogeneous delay for the whole destination set, the broadcast costs
-        one latency sample and one heap push; otherwise each destination is
-        sent to in order with exactly the per-destination latency samples a
-        sequence of :meth:`send` calls would have drawn, preserving RNG
-        stream order and event-for-event determinism.
+        one latency sample and one heap push.  Otherwise the fan-out is one
+        batch: loss is drawn per destination in order, the survivors' delays
+        come from one :meth:`LatencyModel.delays` call, and each survivor
+        gets its own delivery event in destination order.  Message ids,
+        delivery times, event sequence numbers, RNG stream states and the
+        drop ledger are exactly those of a sequence of :meth:`send` calls.
         """
         if not dsts:
             return []
+        size = self.DEFAULT_MESSAGE_BYTES if size_bytes is None else int(size_bytes)
         nodes = self._nodes
         if (src not in nodes or self._partition_of is not None
                 or any(dst not in nodes for dst in dsts)):
             # Failure-aware slow path: drop per-destination (or everything
             # when the source itself is down), keeping only reachable ones.
-            size = (self.DEFAULT_MESSAGE_BYTES if size_bytes is None
-                    else int(size_bytes))
             if src not in nodes:
                 if self.strict and src not in self._known:
                     raise KeyError(f"source node {src!r} is not registered")
@@ -296,20 +309,34 @@ class Network:
             if not live:
                 return []
             dsts = live
-        delay = (None if self.loss_probability > 0 or self._pair_loss
-                 else self.latency.homogeneous_delay(src, dsts))
-        if delay is None:
-            return [m for dst in dsts
-                    if (m := self.send(src, dst, protocol=protocol,
-                                       msg_type=msg_type, payload=payload,
-                                       size_bytes=size_bytes)) is not None]
-
-        size = self.DEFAULT_MESSAGE_BYTES if size_bytes is None else int(size_bytes)
         stats = self.stats
         count = len(dsts)
         stats.sent[protocol] += count
         stats.bytes_sent[protocol] += size * count
         now = self.sim.now
+        label = self._label(protocol, msg_type)
+        lossy = self.loss_probability > 0 or self._pair_loss
+        delay = None if lossy else self.latency.homogeneous_delay(src, dsts)
+        if delay is None:
+            if lossy:
+                dsts = [dst for dst in dsts
+                        if not self._lost(src, dst, protocol)]
+                if not dsts:
+                    return []
+            msg_id = self._next_msg_id
+            self._next_msg_id = msg_id + len(dsts)
+            call_after = self.sim.call_after
+            deliver = self._deliver
+            batch = []
+            for dst, delay in zip(dsts, self.latency.delays(src, dsts)):
+                message = Message(msg_id, src, dst, protocol, msg_type,
+                                  payload, size, now, now + delay)
+                msg_id += 1
+                call_after(delay, deliver, arg=message, recyclable=True,
+                           priority=Simulator.PRIORITY_NETWORK, label=label)
+                batch.append(message)
+            return batch
+
         deliver_at = now + delay
         msg_id = self._next_msg_id
         self._next_msg_id = msg_id + count
@@ -319,7 +346,7 @@ class Network:
                  for i, dst in enumerate(dsts)]
         self.sim.call_after(delay, self._deliver_batch, arg=batch,
                             recyclable=True, priority=Simulator.PRIORITY_NETWORK,
-                            label=self._label(protocol, msg_type))
+                            label=label)
         return batch
 
     def _deliver(self, message: Message) -> None:

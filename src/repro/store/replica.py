@@ -182,12 +182,38 @@ class Replica:
         .stability_frontier``).
         """
         try:
-            missing = merged.missing_from(self._vector)
+            runs = list(merged.missing_tails(self._vector))
         except TruncatedHistoryError:
             self.truncation_stats.installs_behind_checkpoint += 1
             raise
-        applied = self.apply_updates(missing, applied_at=now)
+        # Runs that continue the log's history install as one vector build
+        # and one log append per writer; any other run keeps the per-record
+        # path and its dedup semantics.  Writer order is kept throughout, so
+        # log order and metadata sums match a per-record apply exactly.
+        applied = 0
+        batch: List[Tuple[str, Tuple[UpdateRecord, ...]]] = []
+        for writer, run in runs:
+            if run[0].seq == self.log.next_seq(writer):
+                batch.append((writer, run))
+                continue
+            applied += self._install_runs(batch, now)
+            batch = []
+            for record in run:
+                applied += self.apply_update(record, applied_at=now)
+        applied += self._install_runs(batch, now)
         self.mark_consistent(now)
+        return applied
+
+    def _install_runs(self, runs: List[Tuple[str, Tuple[UpdateRecord, ...]]],
+                      applied_at: float) -> int:
+        """Apply runs that continue both the vector and the log."""
+        if not runs:
+            return 0
+        self._vector = self._vector.extend(runs)
+        applied = 0
+        for writer, run in runs:
+            applied += self.log.append_run(writer, run, applied_at)
+        self.revision += applied
         return applied
 
     def invalidate_updates(self, keys: List[Tuple[str, int]]) -> int:

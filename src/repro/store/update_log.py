@@ -39,7 +39,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from heapq import merge as _heap_merge
-from typing import Any, Dict, Iterable, KeysView, List, Optional, Set, Tuple, Union
+from typing import (Any, Dict, Iterable, KeysView, List, Optional, Sequence, Set,
+                    Tuple, Union)
 
 from repro.versioning.extended_vector import TruncatedHistoryError, UpdateRecord
 from repro.versioning.version_vector import VersionVector
@@ -173,6 +174,47 @@ class UpdateLog:
     def extend(self, records: Iterable[UpdateRecord], applied_at: float) -> int:
         """Append many records; returns how many were new."""
         return sum(1 for r in records if self.append(r, applied_at))
+
+    def next_seq(self, writer: str) -> Optional[int]:
+        """The seq that continues ``writer``'s history, or ``None`` once an
+        append left per-writer seqs non-contiguous."""
+        if not self._seq_contiguous:
+            return None
+        return (self.checkpoint.count(writer)
+                + len(self._by_writer.get(writer, ())) + 1)
+
+    def append_run(self, writer: str, run: Sequence[UpdateRecord],
+                   applied_at: float) -> int:
+        """Append ``writer``'s seq-contiguous run that starts at
+        :meth:`next_seq`, in one pass; returns ``len(run)``.
+
+        Equivalent to :meth:`append` per record — every record is new, since
+        the history is contiguous and the run continues it — and the live
+        metadata sum adds the deltas in run order, bit-identically.
+        """
+        if not run or run[0].seq != self.next_seq(writer):
+            raise ValueError(
+                f"run for {writer!r} does not continue its log history")
+        entries = [LogEntry(record, applied_at) for record in run]
+        index = self._index
+        live_metadata = self._live_metadata
+        for record, entry in zip(run, entries):
+            index[(writer, record.seq)] = entry
+            live_metadata += record.metadata_delta
+        self._live_metadata = live_metadata
+        tail = self._by_writer.get(writer)
+        if tail is None:
+            self._by_writer[writer] = list(entries)
+        else:
+            tail.extend(entries)
+        times = self._applied_times
+        if times and applied_at < times[-1]:
+            self._applied_monotone = False
+        times.extend([applied_at] * len(entries))
+        self._entries.extend(entries)
+        if self._live_entries is not None:
+            self._live_entries.extend(entries)
+        return len(entries)
 
     # --------------------------------------------------------- cache upkeep
     def _live_view(self) -> List[LogEntry]:

@@ -32,7 +32,8 @@ the checkpoint) raise :class:`TruncatedHistoryError` with a clear message.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, ClassVar, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (Any, ClassVar, Dict, Iterable, Iterator, List, Mapping,
+                    Optional, Sequence, Tuple)
 
 from repro.versioning.version_vector import Ordering, VersionVector
 
@@ -338,6 +339,36 @@ class ExtendedVersionVector:
             last_consistent_time=self._last_consistent_time,
             triple=self._triple, base=self._base)
 
+    def extend(self, runs: Sequence[Tuple[str, Sequence[UpdateRecord]]]
+               ) -> "ExtendedVersionVector":
+        """Apply whole per-writer runs at once and return the new vector.
+
+        Each ``(writer, run)`` must continue that writer's history: the run
+        is seq-contiguous and starts at ``count(writer) + 1`` (as
+        :meth:`missing_tails` yields them).  The result equals applying the
+        records one by one in run order — the metadata deltas are summed in
+        that same order, so the float is bit-identical — but costs one dict
+        copy and one tuple concatenation per writer.
+        """
+        if not runs:
+            return self
+        updates = dict(self._updates)
+        metadata = self._metadata
+        for writer, run in runs:
+            existing = updates.get(writer, ())
+            expected_seq = self.base_count(writer) + len(existing) + 1
+            if run[0].seq != expected_seq:
+                raise ValueError(
+                    f"run for {writer!r} starts at seq {run[0].seq}, "
+                    f"expected {expected_seq}")
+            updates[writer] = existing + tuple(run)
+            for record in run:
+                metadata += record.metadata_delta
+        return ExtendedVersionVector._from_trusted(
+            updates, metadata=metadata,
+            last_consistent_time=self._last_consistent_time,
+            triple=self._triple, base=self._base)
+
     def truncate_to(self, frontier: Mapping[str, int]) -> "ExtendedVersionVector":
         """Fold each writer's prefix up to ``frontier[writer]`` into the base.
 
@@ -479,22 +510,24 @@ class ExtendedVersionVector:
         """Compare using the classic count projection."""
         return self.counts().compare(other.counts())
 
-    def missing_from(self, other: "ExtendedVersionVector") -> List[UpdateRecord]:
-        """Updates known here but absent from ``other`` (what to push).
+    def missing_tails(self, other: "ExtendedVersionVector"
+                      ) -> Iterator[Tuple[str, Tuple[UpdateRecord, ...]]]:
+        """Per writer, in writer order, the run of records ``other`` lacks.
 
-        Served per writer from the seq-contiguous tails in O(missing):
-        ``other`` lacks exactly the records above its per-writer count.
-        Raises :class:`TruncatedHistoryError` when a needed record was
-        folded into this vector's checkpoint — the peer is behind the
-        stability frontier and can only be repaired by checkpoint adoption
-        (:meth:`repro.store.replica.Replica.install_merged`).
+        Each run is a slice of this vector's seq-contiguous tail, starting
+        at ``other.count(writer) + 1``; writers ``other`` is not behind on
+        are skipped.  Raises :class:`TruncatedHistoryError` when a needed
+        record was folded into this vector's checkpoint — the peer is behind
+        the stability frontier and can only be repaired by checkpoint
+        adoption (:meth:`repro.store.replica.Replica.install_merged`).
         """
-        missing: List[UpdateRecord] = []
-        for writer in (set(self._updates) | set(self._base)
-                       if self._base else self._updates):
-            tail = self._updates.get(writer, ())
+        updates = self._updates
+        bases = self._base
+        for writer in sorted(updates.keys() | bases.keys() if bases
+                             else updates):
+            tail = updates.get(writer, ())
             have = other.count(writer)
-            base_count = self.base_count(writer)
+            base_count = bases[writer].count if writer in bases else 0
             if have >= base_count + len(tail):
                 continue
             if have < base_count:
@@ -503,7 +536,17 @@ class ExtendedVersionVector:
                     f"seqs 1..{base_count} were folded into this replica's "
                     f"checkpoint; records below the stability frontier are "
                     f"no longer individually available")
-            missing.extend(tail[have - base_count:])
+            yield writer, tail[have - base_count:]
+
+    def missing_from(self, other: "ExtendedVersionVector") -> List[UpdateRecord]:
+        """Updates known here but absent from ``other`` (what to push).
+
+        The flattened :meth:`missing_tails` runs, ordered by (timestamp,
+        writer, seq); O(missing) plus the sort.  Raises
+        :class:`TruncatedHistoryError` exactly as :meth:`missing_tails`.
+        """
+        missing = [record for _, run in self.missing_tails(other)
+                   for record in run]
         missing.sort(key=lambda r: (r.timestamp, r.writer, r.seq))
         return missing
 

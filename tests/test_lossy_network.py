@@ -4,18 +4,27 @@
 beyond a single smoke assertion; these tests pin down the property the churn
 experiment relies on: the loss RNG is a seeded stream, so the same seed
 yields the *identical* drop sequence — including through ``send_many``'s
-per-destination fallback branch and through mid-run loss changes.
+per-pair batched branch and through mid-run loss changes.  A hypothesis
+property checks that ``send_many`` and per-destination ``send`` calls agree
+message for message, event for event, under every drop path.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.clock import ClockModel
 from repro.sim.engine import Simulator
-from repro.sim.latency import FixedLatencyModel, UniformLatencyModel
+from repro.sim.latency import (
+    FixedLatencyModel,
+    PerSourceLatencyModel,
+    PlanetLabLatencyModel,
+    UniformLatencyModel,
+)
 from repro.sim.network import Network
 from repro.sim.node import Node
+from repro.sim.topology import planetlab_topology
 
 
 class Sink(Node):
@@ -210,3 +219,103 @@ class TestPerLinkLoss:
         Sink(sim, network, "a")
         with pytest.raises(KeyError):
             network.set_loss_probability(0.1, src="a", dst="ghost")
+
+
+# --------------------------------------------------------------------------
+# send_many ≡ per-destination send, under every drop path
+# --------------------------------------------------------------------------
+
+FANOUT_NODES = [f"n{i:02d}" for i in range(8)]
+FANOUT_TOPOLOGY = planetlab_topology(len(FANOUT_NODES))
+
+
+class _Inbox:
+    def __init__(self, node_id):
+        self.node_id = node_id
+
+    def deliver(self, message):
+        pass
+
+
+def _fanout_latency(kind, sim):
+    """Per-pair models, so send_many takes its batched branch."""
+    if kind == "planetlab":
+        return PlanetLabLatencyModel(FANOUT_TOPOLOGY, sim.random.stream("latency"))
+    if kind == "per-source":
+        return PerSourceLatencyModel(FANOUT_TOPOLOGY, sim.random)
+    return UniformLatencyModel(0.01, 0.05, rng=sim.random.stream("latency"))
+
+
+def _fanout_run(world, *, use_send_many):
+    sim = Simulator(seed=world["seed"])
+    network = Network(sim, _fanout_latency(world["latency"], sim),
+                      loss_probability=world["loss"])
+    for node_id in FANOUT_NODES:
+        network.register(_Inbox(node_id))
+    for (src, dst), p in world["link_loss"].items():
+        network.set_loss_probability(p, src=src, dst=dst)
+    for node_id in world["crashed"]:
+        network.unregister(node_id)
+    if world["partition"]:
+        network.partition([FANOUT_NODES[:3]])
+    sent = []
+    for src, dsts in world["fanouts"]:
+        if use_send_many:
+            messages = network.send_many(src, dsts, protocol="t",
+                                         msg_type="ping", payload="p")
+        else:
+            messages = [m for dst in dsts
+                        if (m := network.send(src, dst, protocol="t",
+                                              msg_type="ping",
+                                              payload="p")) is not None]
+        sent.extend((m.msg_id, m.src, m.dst, m.sent_at, m.deliver_at)
+                    for m in messages)
+        sim.run(until=sim.now + 0.01)  # some fan-outs leave from a later now
+    popped = []
+    queue = sim._queue
+    while (event := queue.pop()) is not None:
+        message = event.arg
+        popped.append((event.time, event.priority, event.seq, event.label,
+                       message.msg_id, message.dst))
+    return {"sent": sent, "stats": network.stats.snapshot(),
+            "popped": popped, "next_msg_id": network._next_msg_id,
+            "loss_rng": network._loss_rng.bit_generator.state}
+
+
+_pairs = st.tuples(st.sampled_from(FANOUT_NODES), st.sampled_from(FANOUT_NODES))
+fanout_worlds = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**16),
+    "latency": st.sampled_from(["planetlab", "per-source", "uniform"]),
+    "loss": st.sampled_from([0.0, 0.0, 0.3]),
+    "link_loss": st.dictionaries(_pairs.filter(lambda p: p[0] != p[1]),
+                                 st.sampled_from([0.2, 0.7]), max_size=6),
+    # Sources stay up: with both ends down, send() books "dst-down" while
+    # send_many() books "src-down" for the whole fan-out.
+    "crashed": st.sets(st.sampled_from(FANOUT_NODES[2:]), max_size=3),
+    "partition": st.booleans(),
+    "fanouts": st.lists(
+        st.tuples(st.sampled_from(FANOUT_NODES[:2]),
+                  st.lists(st.sampled_from(FANOUT_NODES), min_size=1,
+                           max_size=10)),
+        min_size=1, max_size=8),
+})
+
+
+class TestFanOutEquivalence:
+    @given(fanout_worlds)
+    @settings(max_examples=120, deadline=None)
+    def test_send_many_matches_per_destination_sends(self, world):
+        batched = _fanout_run(world, use_send_many=True)
+        looped = _fanout_run(world, use_send_many=False)
+        assert batched == looped
+
+    def test_every_drop_path_is_reachable(self):
+        world = {"seed": 3, "latency": "planetlab", "loss": 0.3,
+                 "link_loss": {("n00", "n01"): 0.7},
+                 "crashed": {"n05"}, "partition": True,
+                 "fanouts": [("n00", FANOUT_NODES)] * 6}
+        batched = _fanout_run(world, use_send_many=True)
+        assert batched == _fanout_run(world, use_send_many=False)
+        reasons = batched["stats"]["drop_reasons"]
+        assert set(reasons) == {"loss", "link-loss", "dst-down", "partition"}
+        assert batched["popped"]  # some messages survive every filter

@@ -334,6 +334,169 @@ class TestTruncationProperties:
         assert merged_cut.total_updates() == merged_full.total_updates()
 
 
+# ------------------------------------------------------ batched install parity
+def per_record_install(replica, merged, now):
+    """The reference install: apply ``missing_from`` record by record."""
+    try:
+        missing = merged.missing_from(replica.vector)
+    except TruncatedHistoryError:
+        replica.truncation_stats.installs_behind_checkpoint += 1
+        raise
+    applied = replica.apply_updates(missing, applied_at=now)
+    replica.mark_consistent(now)
+    return applied
+
+
+def replica_state(replica):
+    """Everything a batched install must reproduce, floats as exact bits."""
+    vector = replica.vector
+    log = replica.log
+    return {
+        "counts": vector.counts().as_dict(),
+        "bases": vector.bases(),
+        "tails": {w: vector.updates_from(w) for w in vector.writers()},
+        "metadata": vector.metadata.hex(),
+        "consistent": vector.last_consistent_time,
+        "entries": [(e.record.key(), e.applied_at, e.live)
+                    for e in log.entries(include_dead=True)],
+        "applied_times": list(log._applied_times),
+        "live_metadata": log.live_metadata().hex(),
+        "next_seqs": {w: log.next_seq(w) for w in WRITERS + ("D",)},
+        "revision": replica.revision,
+        "retained": replica.retained_log_entries(),
+        "content": replica.content(),
+        "stats": vars(replica.truncation_stats),
+    }
+
+
+@st.composite
+def install_cases(draw):
+    """A merged image, and a replica holding a per-writer prefix of it
+    (plus a write of its own), both optionally truncated."""
+    records = sorted(draw(replica_histories()), key=lambda r: (r.writer, r.seq))
+    merged = ExtendedVersionVector.from_updates(records)
+    held = {w: draw(st.integers(0, merged.count(w))) for w in WRITERS}
+    mine = [r for r in records if r.seq <= held[r.writer]]
+    interleaving = draw(st.permutations(mine))
+    own_write = draw(st.booleans())
+    replica_cut = {w: draw(st.integers(0, held[w])) for w in WRITERS}
+    # Folding beyond what the replica holds leaves it behind the checkpoint.
+    merged_cut = {w: draw(st.integers(0, merged.count(w))) for w in WRITERS}
+    return interleaving, own_write, replica_cut, merged, merged_cut
+
+
+def build_replica(interleaving, own_write, replica_cut):
+    replica = Replica("n0", "obj")
+    # Apply per writer in seq order, interleaving writers as drawn.
+    pending = {}
+    for record in interleaving:
+        pending.setdefault(record.writer, []).append(record)
+    for queue in pending.values():
+        queue.sort(key=lambda r: r.seq)
+    now = 0.0
+    for record in interleaving:
+        now += 0.5
+        replica.apply_update(pending[record.writer].pop(0), applied_at=now)
+    if own_write:
+        replica.local_write("D", timestamp=now, metadata_delta=0.1,
+                            payload="own")
+    replica.truncate_stable(replica_cut)
+    return replica
+
+
+class TestBatchedInstall:
+    @settings(max_examples=150, deadline=None)
+    @given(install_cases())
+    def test_batched_install_equals_per_record_apply(self, case):
+        interleaving, own_write, replica_cut, merged, merged_cut = case
+        image = merged.truncate_to(merged_cut)
+        batched = build_replica(interleaving, own_write, replica_cut)
+        reference = build_replica(interleaving, own_write, replica_cut)
+        try:
+            expected = per_record_install(reference, image, now=40.0)
+        except TruncatedHistoryError:
+            with pytest.raises(TruncatedHistoryError):
+                batched.install_merged(image, now=40.0)
+            assert batched.truncation_stats.installs_behind_checkpoint == 1
+            assert replica_state(batched) == replica_state(reference)
+            return
+        assert batched.install_merged(image, now=40.0) == expected
+        assert replica_state(batched) == replica_state(reference)
+        assert batched.vector == reference.vector
+        for writer in WRITERS:
+            assert batched.vector.count(writer) == image.count(writer)
+
+    def test_untruncated_install_appends_each_run_once(self, monkeypatch):
+        records = [rec(w, s, float(s) + i / 10, 0.1 * s)
+                   for i, w in enumerate(WRITERS) for s in range(1, 6)]
+        merged = ExtendedVersionVector.from_updates(records)
+        replica = Replica("n0", "obj")
+        replica.apply_update(records[0], applied_at=1.0)
+        runs = []
+        original = UpdateLog.append_run
+
+        def recording(log, writer, run, applied_at):
+            runs.append((writer, [r.seq for r in run]))
+            return original(log, writer, run, applied_at)
+
+        monkeypatch.setattr(UpdateLog, "append_run", recording)
+        assert replica.install_merged(merged, now=9.0) == 14
+        assert runs == [("A", [2, 3, 4, 5]), ("B", [1, 2, 3, 4, 5]),
+                        ("C", [1, 2, 3, 4, 5])]
+        assert replica.revision == 1 + 14 + 1  # write, 14 applies, consistent
+
+    def test_run_not_continuing_the_log_takes_per_record_path(self):
+        """A log that already holds a record the vector lacks (appended
+        behind the replica's back) breaks contiguity for that writer: its run
+        goes record by record, keeping append's dedup, the others batch."""
+        records = [rec(w, s, float(s), 0.25) for w in ("A", "B")
+                   for s in range(1, 4)]
+        merged = ExtendedVersionVector.from_updates(records)
+
+        def build():
+            replica = Replica("n0", "obj")
+            replica.log.append(records[0], applied_at=0.5)  # A#1, log only
+            return replica
+
+        batched, reference = build(), build()
+        assert batched.log.next_seq("A") == 2
+        assert batched.vector.count("A") == 0
+        assert (batched.install_merged(merged, now=3.0)
+                == per_record_install(reference, merged, now=3.0) == 6)
+        assert replica_state(batched) == replica_state(reference)
+        assert [e.applied_at for e in batched.log.entries()][:2] == [0.5, 3.0]
+
+    def test_sparse_log_takes_per_record_path(self, monkeypatch):
+        records = [rec("A", s, float(s)) for s in range(1, 4)]
+        merged = ExtendedVersionVector.from_updates(records)
+
+        def build():
+            replica = Replica("n0", "obj")
+            replica.log.append(rec("Z", 7, 0.1), applied_at=0.1)  # sparse
+            return replica
+
+        batched, reference = build(), build()
+        assert batched.log.next_seq("A") is None
+        monkeypatch.setattr(UpdateLog, "append_run", None)  # must not run
+        assert (batched.install_merged(merged, now=3.0)
+                == per_record_install(reference, merged, now=3.0) == 3)
+        assert replica_state(batched) == replica_state(reference)
+
+    def test_append_run_rejects_a_gap(self):
+        log = UpdateLog()
+        log.append(rec("A", 1, 1.0), applied_at=1.0)
+        with pytest.raises(ValueError):
+            log.append_run("A", (rec("A", 3, 3.0),), applied_at=2.0)
+        assert log.append_run("A", (rec("A", 2, 2.0),), applied_at=2.0) == 1
+        assert [e.record.seq for e in log.entries()] == [1, 2]
+
+    def test_extend_rejects_a_run_that_skips_seqs(self):
+        vector = ExtendedVersionVector.from_updates([rec("A", 1, 1.0)])
+        with pytest.raises(ValueError):
+            vector.extend([("A", (rec("A", 3, 3.0),))])
+        assert vector.extend([]) is vector
+
+
 # -------------------------------------------------------- driver truncation hook
 class TestDriverTruncationHook:
     def build(self, *, truncate):
